@@ -2,7 +2,9 @@
 // indexed event scheduler on fixed members of the modelgen families and
 // emits a JSON report (events/sec, ns/event, allocs/event per net
 // size), plus a reach_build scenario timing the sharded state-space
-// exploration in states/sec. The repository commits one such report as
+// exploration in states/sec and an informational analytic_processor
+// scenario recording the exact steady-state solve of the Section 2
+// processor. The repository commits one such report as
 // BENCH_sim.json;
 // CI regenerates it and gates with -baseline, so a change that slows
 // the hot loop or puts an allocation back on the firing path fails the
@@ -31,8 +33,10 @@ import (
 	"runtime"
 	"time"
 
+	"repro/internal/analytic"
 	"repro/internal/modelgen"
 	"repro/internal/petri"
+	"repro/internal/pipeline"
 	"repro/internal/reach"
 	"repro/internal/server"
 	"repro/internal/sim"
@@ -127,6 +131,20 @@ type serverMeasurement struct {
 	Calibration float64 `json:"calibration_score"`
 }
 
+// analyticMeasurement is the exact steady-state solve of the default
+// Section 2 processor. SolveMs is the fastest analytic.Evaluate minus
+// the fastest reach.BuildTimed of the same net; States, Iterations and
+// Residual are exact and repeat on every run.
+type analyticMeasurement struct {
+	Name       string  `json:"name"`
+	States     int     `json:"states"`
+	BuildMs    float64 `json:"build_ms"`
+	EvaluateMs float64 `json:"evaluate_ms"`
+	SolveMs    float64 `json:"solve_ms"`
+	Iterations int     `json:"iterations"`
+	Residual   float64 `json:"residual"`
+}
+
 // report is the BENCH_sim.json schema.
 type report struct {
 	GoOS   string        `json:"goos"`
@@ -140,6 +158,9 @@ type report struct {
 	// HTTP path is scheduler-noisy, so it records trajectory rather than
 	// gating the build).
 	Server []serverMeasurement `json:"server,omitempty"`
+	// Analytic holds the exact-solve scenario; informational until the
+	// trajectory gates on a measured spread.
+	Analytic []analyticMeasurement `json:"analytic,omitempty"`
 }
 
 // calibrate times a fixed splitmix64-style mixing loop and returns
@@ -260,6 +281,51 @@ func measureReach(c benchCase, repeat int) (reachMeasurement, error) {
 		g.Close()
 	}
 	return best, nil
+}
+
+// analyticStates pins the default processor's timed state count.
+const analyticStates = 3568
+
+// measureAnalytic times the timed build and the full exact evaluation
+// of pipeline.Processor(DefaultParams()) repeat times each and keeps
+// the fastest of each.
+func measureAnalytic(repeat int) (analyticMeasurement, error) {
+	ctx := context.Background()
+	net, err := pipeline.Processor(pipeline.DefaultParams())
+	if err != nil {
+		return analyticMeasurement{}, err
+	}
+	opt := reach.Options{MaxStates: 500_000}
+	m := analyticMeasurement{Name: "analytic_processor"}
+	for r := 0; r <= repeat; r++ { // run 0 warms up
+		start := time.Now()
+		g, err := reach.BuildTimed(ctx, net, opt)
+		build := time.Since(start).Seconds() * 1e3
+		if err != nil {
+			return m, fmt.Errorf("%s: %w", m.Name, err)
+		}
+		start = time.Now()
+		res, err := analytic.Evaluate(ctx, net, opt)
+		eval := time.Since(start).Seconds() * 1e3
+		if err != nil {
+			return m, fmt.Errorf("%s: %w", m.Name, err)
+		}
+		if len(g.Nodes) != analyticStates || res.States != analyticStates {
+			return m, fmt.Errorf("%s: %d timed states built, %d solved, want %d", m.Name, len(g.Nodes), res.States, analyticStates)
+		}
+		if r == 0 {
+			continue
+		}
+		if r == 1 || build < m.BuildMs {
+			m.BuildMs = build
+		}
+		if r == 1 || eval < m.EvaluateMs {
+			m.EvaluateMs = eval
+		}
+		m.States, m.Iterations, m.Residual = res.States, res.Iterations, res.Residual
+	}
+	m.SolveMs = m.EvaluateMs - m.BuildMs
+	return m, nil
 }
 
 // measureServer drives the simulation service in-process: a real
@@ -406,6 +472,11 @@ func compare(rep, base *report, tol float64) int {
 				m.Name, m.JobsPerSec)
 		}
 	}
+	// The analytic scenario is trajectory, not a gate.
+	for _, m := range rep.Analytic {
+		fmt.Fprintf(os.Stderr, "pnut-bench: %-20s solve %.2f ms, %d iterations, residual %.3g (informational)\n",
+			m.Name, m.SolveMs, m.Iterations, m.Residual)
+	}
 	return failures
 }
 
@@ -440,6 +511,13 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pnut-bench: %-20s %8d states  %10.0f states/s\n",
 			m.Name, m.States, m.StatesPerSec)
 	}
+	am, err := measureAnalytic(*repeat)
+	if err != nil {
+		fatal(err)
+	}
+	rep.Analytic = []analyticMeasurement{am}
+	fmt.Fprintf(os.Stderr, "pnut-bench: %-20s %8d states  solve %.2f ms of %.2f ms  %d iterations  residual %.3g\n",
+		am.Name, am.States, am.SolveMs, am.EvaluateMs, am.Iterations, am.Residual)
 	if !*noServer {
 		sm, err := measureServer(*repeat)
 		if err != nil {

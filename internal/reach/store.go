@@ -205,9 +205,9 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
-// hashString is FNV-1a over a string — the shard key of the timed
-// build, whose dedup is keyed by TimedNode.key() strings.
-func hashString(s string) uint64 {
+// hashBytes is FNV-1a over a byte string — the shard key of the timed
+// build, whose dedup is keyed by packed TimedNode keys.
+func hashBytes(s []byte) uint64 {
 	h := uint64(fnvOffset64)
 	for i := 0; i < len(s); i++ {
 		h ^= uint64(s[i])
