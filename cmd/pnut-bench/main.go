@@ -2,10 +2,11 @@
 // indexed event scheduler on fixed members of the modelgen families and
 // emits a JSON report (events/sec, ns/event, allocs/event per net
 // size), plus a reach_build scenario timing the sharded state-space
-// exploration in states/sec and an informational analytic_processor
-// scenario recording the exact steady-state solve of the Section 2
-// processor. The repository commits one such report as
-// BENCH_sim.json;
+// exploration in states/sec, an informational reach_coverability
+// scenario timing the Karp-Miller search on the same state space, and
+// an informational analytic_processor scenario recording the exact
+// steady-state solve of the Section 2 processor. The repository
+// commits one such report as BENCH_sim.json;
 // CI regenerates it and gates with -baseline, so a change that slows
 // the hot loop or puts an allocation back on the firing path fails the
 // build instead of landing silently.
@@ -117,6 +118,23 @@ type reachMeasurement struct {
 	Calibration  float64 `json:"calibration_score"`
 }
 
+// coverabilityCase is the Karp-Miller scenario: reach.Coverability on
+// the reach_fork_join_7x4 net, a bounded net whose tree has one node
+// per reachable marking.
+var coverabilityCase = benchCase{Name: "reach_coverability", Family: "fork_join", Width: 7, Depth: 4}
+
+// coverabilityMeasurement is one reach_coverability result. States is
+// the net's exact reachable-state count (the tree's node count on a
+// bounded net), so StatesPerSec compares with the reach_build cases.
+type coverabilityMeasurement struct {
+	Name         string  `json:"name"`
+	Family       string  `json:"family"`
+	Width        int     `json:"width"`
+	Depth        int     `json:"depth"`
+	States       int     `json:"states"`
+	StatesPerSec float64 `json:"states_per_sec"`
+}
+
 // serverMeasurement is one simulation-service scenario: jobs/sec
 // through the full HTTP admission + queue + runner + render stack.
 // The cold case simulates every job (distinct seeds); the warm case
@@ -161,6 +179,9 @@ type report struct {
 	// Analytic holds the exact-solve scenario; informational until the
 	// trajectory gates on a measured spread.
 	Analytic []analyticMeasurement `json:"analytic,omitempty"`
+	// Coverability holds the Karp-Miller scenario; informational like
+	// Analytic.
+	Coverability []coverabilityMeasurement `json:"coverability,omitempty"`
 }
 
 // calibrate times a fixed splitmix64-style mixing loop and returns
@@ -281,6 +302,37 @@ func measureReach(c benchCase, repeat int) (reachMeasurement, error) {
 		g.Close()
 	}
 	return best, nil
+}
+
+// measureCoverability runs the Karp-Miller search on c's net repeat
+// times after one warm-up and keeps the fastest run. The net is
+// bounded, so any unbounded place means the search itself is wrong.
+func measureCoverability(c benchCase, repeat int) (coverabilityMeasurement, error) {
+	ctx := context.Background()
+	net := c.build()
+	opt := reach.Options{MaxStates: 1_000_000}
+	g, err := reach.Build(ctx, net, opt)
+	if err != nil {
+		return coverabilityMeasurement{}, fmt.Errorf("%s: %w", c.Name, err)
+	}
+	states := len(g.Nodes)
+	g.Close()
+	m := coverabilityMeasurement{Name: c.Name, Family: c.Family, Width: c.Width, Depth: c.Depth, States: states}
+	for r := 0; r <= repeat; r++ { // run 0 warms up
+		start := time.Now()
+		unbounded, err := reach.Coverability(ctx, net, opt)
+		el := time.Since(start).Seconds()
+		if err != nil {
+			return m, fmt.Errorf("%s: %w", c.Name, err)
+		}
+		if len(unbounded) > 0 {
+			return m, fmt.Errorf("%s: bounded net reported unbounded places %v", c.Name, unbounded)
+		}
+		if sps := float64(states) / el; r > 0 && sps > m.StatesPerSec {
+			m.StatesPerSec = sps
+		}
+	}
+	return m, nil
 }
 
 // analyticStates pins the default processor's timed state count.
@@ -472,10 +524,13 @@ func compare(rep, base *report, tol float64) int {
 				m.Name, m.JobsPerSec)
 		}
 	}
-	// The analytic scenario is trajectory, not a gate.
+	// The analytic and coverability scenarios are trajectory, not a gate.
 	for _, m := range rep.Analytic {
 		fmt.Fprintf(os.Stderr, "pnut-bench: %-20s solve %.2f ms, %d iterations, residual %.3g (informational)\n",
 			m.Name, m.SolveMs, m.Iterations, m.Residual)
+	}
+	for _, m := range rep.Coverability {
+		fmt.Fprintf(os.Stderr, "pnut-bench: %-20s %10.0f states/s (informational)\n", m.Name, m.StatesPerSec)
 	}
 	return failures
 }
@@ -511,6 +566,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pnut-bench: %-20s %8d states  %10.0f states/s\n",
 			m.Name, m.States, m.StatesPerSec)
 	}
+	cm, err := measureCoverability(coverabilityCase, *repeat)
+	if err != nil {
+		fatal(err)
+	}
+	rep.Coverability = []coverabilityMeasurement{cm}
+	fmt.Fprintf(os.Stderr, "pnut-bench: %-20s %8d states  %10.0f states/s\n", cm.Name, cm.States, cm.StatesPerSec)
 	am, err := measureAnalytic(*repeat)
 	if err != nil {
 		fatal(err)

@@ -11,19 +11,25 @@
 //
 // The untimed construction is a sharded-frontier parallel BFS with a
 // canonical numbering contract: node ids, edge order, markings and
-// truncation flags are bit-identical to the serial FIFO build
-// (BuildSerial, kept as the test oracle) for every shard count.
-// Markings live in a compact delta-encoded store (see store.go)
-// instead of one []int plus an interning string per node.
+// truncation flags are bit-identical to the serial FIFO build (kept as
+// the oracle in the package tests) for every shard count. Markings
+// live in a compact delta-encoded store (see store.go) instead of one
+// []int plus an interning string per node. The search allocates per
+// level, not per state: successors are fired into per-shard marking
+// arenas reused across levels, dedup maps a marking hash to the newest
+// node carrying it and chains older same-hash nodes through one index
+// array, and each level's edges share one array. Coverability keeps
+// its Karp-Miller tree the same way, in one flat marking arena with
+// parent and hash-chain index arrays.
 package reach
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
 
 	"repro/internal/petri"
 )
@@ -183,9 +189,15 @@ func (g *Graph) Close() error {
 // deduplicated in per-shard hash maps, and new nodes are then
 // committed sequentially in the exact (node, transition) order the
 // serial FIFO build visits them — so the result is bit-identical to
-// BuildSerial for any shard count. Construction stops the moment a
-// new state would exceed MaxStates (Truncated is set and the graph
+// the serial build for any shard count. Construction stops the moment
+// a new state would exceed MaxStates (Truncated is set and the graph
 // holds exactly MaxStates nodes).
+//
+// Nothing is allocated per state: successors are fired into per-shard
+// marking arenas reused across levels, a dedup bucket is one map entry
+// plus a chain link per node, and the edges of a level share one
+// array, so allocations grow with the number of levels (and buffer
+// doublings), not with the number of states.
 //
 // ctx is checked at every level barrier (and the spill store's I/O
 // errors surface there too); on cancellation the partial graph is
@@ -200,7 +212,8 @@ func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
 		shards = runtime.GOMAXPROCS(0)
 	}
 
-	store, err := newStateStore(opt, net.NumPlaces())
+	places := net.NumPlaces()
+	store, err := newStateStore(opt, places)
 	if err != nil {
 		return nil, err
 	}
@@ -215,36 +228,129 @@ func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
 	g.Nodes = append(g.Nodes, Node{ID: 0})
 	g.store.Add(m0)
 
-	// Per-shard dedup: a marking is owned by shard hash%shards; the
-	// map holds the committed node ids carrying that hash (collisions
-	// resolved by comparing against the store).
-	seen := make([]map[uint64][]int32, shards)
+	// Per-shard dedup: a marking is owned by shard hash%shards. seen maps
+	// a hash to the newest committed node carrying it; older nodes with
+	// the same hash are chained through chain[id] (-1 ends a chain), and
+	// collisions are resolved by comparing against the store.
+	seen := make([]map[uint64]int32, shards)
+	pend := make([]map[uint64]int32, shards) // the current level's new markings
 	for i := range seen {
-		seen[i] = make(map[uint64][]int32)
+		seen[i], pend[i] = make(map[uint64]int32), make(map[uint64]int32)
 	}
+	chain := []int32{-1}
 	h0 := hashMarking(m0)
-	seen[h0%uint64(shards)][h0] = append(seen[h0%uint64(shards)][h0], 0)
+	seen[h0%uint64(shards)][h0] = 0
 
-	// cand is one successor produced during frontier expansion. Its
-	// resolution is filled in by the dedup phase: node >= 0 is a
-	// committed node id; dup >= 0 says "same new marking as the
-	// earlier candidate with that global sequence number"; both -1
-	// means a genuinely new marking.
+	// cand is one successor produced during frontier expansion; its
+	// marking is arenas[w][off:off+places]. The dedup phase fills in its
+	// resolution: node >= 0 is a committed node id; dup >= 0 says "same
+	// new marking as the earlier candidate with that global sequence
+	// number"; both -1 means a genuinely new marking.
 	type cand struct {
-		m    petri.Marking
 		hash uint64
+		off  int
+		w    int32
 		t    petri.TransID
 		node int32
 		dup  int32
 	}
 
+	// Buffers reused across levels: per-worker successor arenas and
+	// candidates (in node order, so their concatenation is the global
+	// order), store decode buffers, and the chain of pend's entries by
+	// candidate sequence number (pendNext, like chain for seen).
 	var (
-		scratch = make([]petri.Marking, shards) // per-shard store decode buffers
-		errs    = make([]error, shards)
+		arenas   = make([]petri.Marking, shards)
+		outs     = make([][]cand, shards)
+		scratch  = make([]petri.Marking, shards)
+		errs     = make([]error, shards)
+		byShard  = make([][]int32, shards)
+		nsucc    []int32 // successors per frontier node
+		flat     []cand
+		pendNext []int32
+		assigned []int32
 	)
+	mark := func(c *cand) petri.Marking { return arenas[c.w][c.off : c.off+places] }
+
+	// The per-level work runs through closures made once; they read the
+	// level bounds lo..hi and the worker chunk as the loop moves them.
 	// Frontier levels are contiguous id ranges: [lo, hi) was assigned
 	// last round, in order, exactly like the serial FIFO queue.
-	lo, hi := 0, 1
+	lo, hi, chunk := 0, 1, 0
+	// expand is Phase A for worker w: decode its run of frontier
+	// markings and fire every enabled transition into its arena. Only
+	// reads the store (no adds are in flight).
+	expand := func(w int) {
+		arena, out := arenas[w][:0], outs[w][:0]
+		if a, b := lo+w*chunk, min(lo+(w+1)*chunk, hi); a < b {
+			g.store.Span(a, b, func(id int, m petri.Marking) bool {
+				// Reserve room for every transition's successor through
+				// grow, so the appends below never step the arena by
+				// append's 1.25x.
+				arena = grow(arena, len(net.Trans)*places)
+				out = grow(out, len(net.Trans))
+				n0 := len(out)
+				for ti := range net.Trans {
+					t := petri.TransID(ti)
+					ok, err := net.Enabled(t, m, nil)
+					if err != nil {
+						errs[w] = err
+						return false
+					}
+					if !ok {
+						continue
+					}
+					off := len(arena)
+					arena = append(arena, m...)
+					next := arena[off:]
+					net.Consume(t, next)
+					net.Produce(t, next)
+					out = append(out, cand{hash: hashMarking(next), off: off, w: int32(w), t: t})
+				}
+				nsucc[id-lo] = int32(len(out) - n0)
+				return true
+			})
+		}
+		arenas[w], outs[w] = arena, out
+	}
+	// dedup is Phase B for shard w: resolve its candidates against its
+	// committed nodes and against earlier candidates of the level, in
+	// global order. Shards touch disjoint maps and disjoint candidates;
+	// the store and chain are read-only.
+	dedup := func(w int) {
+		if len(byShard[w]) == 0 {
+			return
+		}
+		clear(pend[w])
+		for _, seq := range byShard[w] {
+			c := &flat[seq]
+			m := mark(c)
+			c.node, c.dup = -1, -1
+			for id := chainHead(seen[w], c.hash); id >= 0; id = chain[id] {
+				var eq bool
+				if eq, scratch[w] = g.store.Equal(int(id), m, scratch[w]); eq {
+					c.node = id
+					break
+				}
+			}
+			if c.node >= 0 {
+				continue
+			}
+			head := chainHead(pend[w], c.hash)
+			for ps := head; ps >= 0; ps = pendNext[ps] {
+				if mark(&flat[ps]).Equal(m) {
+					c.dup = ps
+					break
+				}
+			}
+			if c.dup >= 0 {
+				continue
+			}
+			pendNext[seq] = head
+			pend[w][c.hash] = seq
+		}
+	}
+
 	for lo < hi && !g.Truncated {
 		// Level barrier: cancellation and store errors (spill I/O) are
 		// checked here, between rounds, where no goroutine is in flight.
@@ -254,46 +360,14 @@ func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
 		if err := g.store.Err(); err != nil {
 			return nil, err
 		}
-		// Phase A — expand: decode each frontier marking and fire every
-		// enabled transition, in parallel over contiguous chunks. Only
-		// reads the store (no adds are in flight).
-		perNode := make([][]cand, hi-lo)
-		chunk := (hi - lo + shards - 1) / shards
-		var wg sync.WaitGroup
-		for w := 0; w < shards; w++ {
-			a, b := lo+w*chunk, lo+(w+1)*chunk
-			if a >= hi {
-				break
-			}
-			if b > hi {
-				b = hi
-			}
-			wg.Add(1)
-			go func(w, a, b int) {
-				defer wg.Done()
-				g.store.Span(a, b, func(id int, m petri.Marking) bool {
-					var out []cand
-					for ti := range net.Trans {
-						t := petri.TransID(ti)
-						ok, err := net.Enabled(t, m, nil)
-						if err != nil {
-							errs[w] = err
-							return false
-						}
-						if !ok {
-							continue
-						}
-						next := m.Clone()
-						net.Consume(t, next)
-						net.Produce(t, next)
-						out = append(out, cand{m: next, hash: hashMarking(next), t: t})
-					}
-					perNode[id-lo] = out
-					return true
-				})
-			}(w, a, b)
+		// Phase A — expand, in parallel over contiguous chunks.
+		width := hi - lo
+		if cap(nsucc) < width {
+			nsucc = make([]int32, width)
 		}
-		wg.Wait()
+		nsucc = nsucc[:width]
+		chunk = (width + shards - 1) / shards
+		eachWorker(shards, expand)
 		for _, err := range errs {
 			if err != nil {
 				return nil, err
@@ -303,76 +377,40 @@ func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
 		// Flatten to the global candidate order — (node asc, transition
 		// asc), the order the serial build visits successors — and
 		// bucket each candidate's sequence number to its owning shard.
-		var flat []cand
-		for _, out := range perNode {
-			flat = append(flat, out...)
+		flat = flat[:0]
+		for w := range outs {
+			flat = append(grow(flat, len(outs[w])), outs[w]...)
 		}
-		byShard := make([][]int32, shards)
+		for w := range byShard {
+			byShard[w] = byShard[w][:0]
+		}
 		for seq := range flat {
 			s := flat[seq].hash % uint64(shards)
 			byShard[s] = append(byShard[s], int32(seq))
 		}
-
-		// Phase B — dedup: each shard resolves its candidates against
-		// its committed ids and against earlier candidates of this
-		// round, in global order. Shards touch disjoint maps and
-		// disjoint candidates; the store is again read-only.
-		for w := 0; w < shards; w++ {
-			if len(byShard[w]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				var pend map[uint64][]int32 // hash -> seqs of new markings this round
-				for _, seq := range byShard[w] {
-					c := &flat[seq]
-					c.node, c.dup = -1, -1
-					match := false
-					for _, id := range seen[w][c.hash] {
-						var eq bool
-						eq, scratch[w] = g.store.Equal(int(id), c.m, scratch[w])
-						if eq {
-							c.node = id
-							match = true
-							break
-						}
-					}
-					if match {
-						continue
-					}
-					for _, ps := range pend[c.hash] {
-						if flat[ps].m.Equal(c.m) {
-							c.dup = ps
-							match = true
-							break
-						}
-					}
-					if match {
-						continue
-					}
-					if pend == nil {
-						pend = make(map[uint64][]int32)
-					}
-					pend[c.hash] = append(pend[c.hash], int32(seq))
-				}
-			}(w)
+		if cap(pendNext) < len(flat) {
+			pendNext = make([]int32, len(flat))
+			assigned = make([]int32, len(flat))
 		}
-		wg.Wait()
+		pendNext, assigned = pendNext[:len(flat)], assigned[:len(flat)]
+
+		// Phase B — dedup per shard.
+		eachWorker(shards, dedup)
 
 		// Phase C — commit, sequentially in global candidate order:
 		// bound-cap detection, id assignment, store appends, edges and
-		// truncation all happen exactly as in the serial build.
-		assigned := make([]int32, len(flat))
+		// truncation all happen exactly as in the serial build. Each
+		// node's Out is an exactly sized slice of the level's edges.
+		edges := make([]Edge, len(flat))
 		lvlLo := len(g.Nodes)
 		seq := 0
-	commit:
-		for i, out := range perNode {
-			src := lo + i
-			for range out {
+		for i, n := range nsucc {
+			start := seq
+			for ; n > 0; n-- {
 				c := &flat[seq]
+				m := mark(c)
 				if g.CapExceeded == "" {
-					for pi, cnt := range c.m {
+					for pi, cnt := range m {
 						if cnt > opt.BoundCap {
 							g.CapExceeded = net.Places[pi].Name
 							break
@@ -388,16 +426,29 @@ func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
 				default:
 					if len(g.Nodes) >= opt.MaxStates {
 						g.Truncated = true
-						break commit
+					} else {
+						nid = int32(len(g.Nodes))
+						// Plain append: the graph keeps g.Nodes, so its
+						// spare capacity stays small.
+						g.Nodes = append(g.Nodes, Node{ID: int(nid)})
+						g.store.Add(m)
+						s := c.hash % uint64(shards)
+						chain = append(grow(chain, 1), chainHead(seen[s], c.hash))
+						seen[s][c.hash] = nid
 					}
-					nid = int32(len(g.Nodes))
-					g.Nodes = append(g.Nodes, Node{ID: int(nid)})
-					g.store.Add(c.m)
-					seen[c.hash%uint64(shards)][c.hash] = append(seen[c.hash%uint64(shards)][c.hash], nid)
+				}
+				if g.Truncated {
+					break
 				}
 				assigned[seq] = nid
-				g.Nodes[src].Out = append(g.Nodes[src].Out, Edge{Trans: c.t, To: int(nid)})
+				edges[seq] = Edge{Trans: c.t, To: int(nid)}
 				seq++
+			}
+			if seq > start {
+				g.Nodes[lo+i].Out = edges[start:seq:seq]
+			}
+			if g.Truncated {
+				break
 			}
 		}
 		lo, hi = lvlLo, len(g.Nodes)
@@ -409,90 +460,30 @@ func Build(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
 	return g, nil
 }
 
-// BuildSerial is the plain serial BFS construction — the algorithm
-// Build had before the sharded search, kept as the bit-identity oracle
-// the parallel build is tested against. Markings are interned through
-// Marking.Key() strings; nodes are processed with an index cursor (no
-// queue-head reslicing, so the visited prefix can be collected) and
-// construction stops the moment MaxStates is hit, exactly like Build.
-// ctx is checked every serialCheckEvery nodes.
-func BuildSerial(ctx context.Context, net *petri.Net, opt Options) (*Graph, error) {
-	opt.defaults()
-	if net.Interpreted() {
-		return nil, fmt.Errorf("reach: net %q is interpreted (predicates/actions); reachability requires a plain net", net.Name)
+// chainHead returns the newest id filed under hash h in a chained
+// dedup map, or -1 if there is none; older ids with the same hash
+// follow through the map's chain array.
+func chainHead(m map[uint64]int32, h uint64) int32 {
+	if id, ok := m[h]; ok {
+		return id
 	}
-	store, err := newStateStore(opt, net.NumPlaces())
-	if err != nil {
-		return nil, err
-	}
-	g := &Graph{Net: net, store: store}
-	done := false
-	defer func() {
-		if !done {
-			g.Close()
-		}
-	}()
-	index := make(map[string]int)
-	m0 := net.InitialMarking()
-	g.Nodes = append(g.Nodes, Node{ID: 0})
-	g.store.Add(m0)
-	index[m0.Key()] = 0
-	var cur petri.Marking
-	for id := 0; id < len(g.Nodes) && !g.Truncated; id++ {
-		if id%serialCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			if err := g.store.Err(); err != nil {
-				return nil, err
-			}
-		}
-		cur = g.store.At(id, cur)
-		m := cur
-		for ti := range net.Trans {
-			t := petri.TransID(ti)
-			ok, err := net.Enabled(t, m, nil)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				continue
-			}
-			next := m.Clone()
-			net.Consume(t, next)
-			net.Produce(t, next)
-			if g.CapExceeded == "" {
-				for pi, c := range next {
-					if c > opt.BoundCap {
-						g.CapExceeded = net.Places[pi].Name
-						break
-					}
-				}
-			}
-			key := next.Key()
-			nid, seen := index[key]
-			if !seen {
-				if len(g.Nodes) >= opt.MaxStates {
-					g.Truncated = true
-					break
-				}
-				nid = len(g.Nodes)
-				g.Nodes = append(g.Nodes, Node{ID: nid})
-				g.store.Add(next)
-				index[key] = nid
-			}
-			g.Nodes[id].Out = append(g.Nodes[id].Out, Edge{Trans: t, To: nid})
-		}
-	}
-	if err := g.store.Err(); err != nil {
-		return nil, err
-	}
-	done = true
-	return g, nil
+	return -1
 }
 
-// serialCheckEvery is how often (in processed nodes) the serial
-// builders poll ctx and the store's sticky error.
+// grow returns s with room for n more elements. When it must grow it
+// at least doubles the capacity: append steps large slices by about
+// 1.25x, which would allocate and copy an arena about five times its
+// final size instead of about twice.
+func grow[T any](s []T, n int) []T {
+	if len(s)+n <= cap(s) {
+		return s
+	}
+	return slices.Grow(s, cap(s)+n)
+}
+
+// serialCheckEvery is how often (in processed nodes) Coverability and
+// the serial builds of the package tests poll ctx (and the builds the
+// store's sticky error).
 const serialCheckEvery = 1024
 
 // Deadlocks returns the IDs of nodes with no outgoing edges.
@@ -612,16 +603,15 @@ func (g *Graph) Summary() string {
 // Omega is the unbounded-place pseudo-count in coverability markings.
 const Omega = int(^uint(0) >> 1) // max int
 
-// CoverNode is a node of the Karp-Miller coverability tree, with Omega
-// marking components for unbounded places.
-type CoverNode struct {
-	Marking petri.Marking
-}
-
 // Coverability runs the Karp-Miller construction and returns the set of
 // places that are unbounded. Nets with inhibitor arcs are rejected: the
 // construction is not sound for them (and reachability itself is
 // undecidable). ctx is checked every serialCheckEvery expanded nodes.
+//
+// The tree is explored depth first. Its markings live in one flat
+// arena indexed by node, with parent links as indices, and a node is
+// deduplicated by hashMarking plus an exact comparison along its hash
+// chain, so the search allocates nothing per node.
 func Coverability(ctx context.Context, net *petri.Net, opt Options) (unbounded []string, err error) {
 	opt.defaults()
 	if net.Interpreted() {
@@ -632,10 +622,6 @@ func Coverability(ctx context.Context, net *petri.Net, opt Options) (unbounded [
 			return nil, fmt.Errorf("reach: net %q has inhibitor arcs; Karp-Miller coverability is unsound for them", net.Name)
 		}
 	}
-	type node struct {
-		m      petri.Marking
-		parent *node
-	}
 	enabled := func(t petri.TransID, m petri.Marking) bool {
 		for _, a := range net.Trans[t].In {
 			if m[a.Place] != Omega && m[a.Place] < a.Weight {
@@ -644,19 +630,17 @@ func Coverability(ctx context.Context, net *petri.Net, opt Options) (unbounded [
 		}
 		return true
 	}
-	fire := func(t petri.TransID, m petri.Marking) petri.Marking {
-		next := m.Clone()
+	fire := func(t petri.TransID, m petri.Marking) {
 		for _, a := range net.Trans[t].In {
-			if next[a.Place] != Omega {
-				next[a.Place] -= a.Weight
+			if m[a.Place] != Omega {
+				m[a.Place] -= a.Weight
 			}
 		}
 		for _, a := range net.Trans[t].Out {
-			if next[a.Place] != Omega {
-				next[a.Place] += a.Weight
+			if m[a.Place] != Omega {
+				m[a.Place] += a.Weight
 			}
 		}
-		return next
 	}
 	covers := func(big, small petri.Marking) bool {
 		for i := range big {
@@ -669,11 +653,20 @@ func Coverability(ctx context.Context, net *petri.Net, opt Options) (unbounded [
 		}
 		return true
 	}
-	isOmega := make([]bool, net.NumPlaces())
-	seen := make(map[string]bool)
-	root := &node{m: net.InitialMarking()}
-	work := []*node{root}
-	seen[root.m.Key()] = true
+
+	// Node i's marking is marks[i*places:(i+1)*places] and parent[i] its
+	// tree parent (-1 at the root). seen maps a marking hash to the
+	// newest node carrying it; older ones are chained through chain[i].
+	places := net.NumPlaces()
+	isOmega := make([]bool, places)
+	marks := net.InitialMarking()
+	parent, chain := []int32{-1}, []int32{-1}
+	seen := map[uint64]int32{hashMarking(marks): 0}
+	at := func(i int32) petri.Marking {
+		o := int(i) * places
+		return marks[o : o+places]
+	}
+	work := []int32{0}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -692,28 +685,43 @@ func Coverability(ctx context.Context, net *petri.Net, opt Options) (unbounded [
 		}
 		for ti := range net.Trans {
 			t := petri.TransID(ti)
-			if !enabled(t, n.m) {
+			if !enabled(t, at(n)) {
 				continue
 			}
-			next := fire(t, n.m)
+			// Fire into a tentative slot at the arena's end, kept only
+			// if the marking turns out to be new.
+			off := len(marks)
+			marks = append(marks, at(n)...)
+			next := marks[off:]
+			fire(t, next)
 			// Accelerate: if an ancestor is strictly covered, pump the
 			// strictly larger places to Omega.
-			for a := n; a != nil; a = a.parent {
-				if covers(next, a.m) && !next.Equal(a.m) {
+			for a := n; a >= 0; a = parent[a] {
+				am := at(a)
+				if covers(next, am) && !next.Equal(am) {
 					for i := range next {
-						if a.m[i] != Omega && next[i] != Omega && next[i] > a.m[i] {
+						if am[i] != Omega && next[i] != Omega && next[i] > am[i] {
 							next[i] = Omega
 							isOmega[i] = true
 						}
 					}
 				}
 			}
-			key := next.Key()
-			if seen[key] {
+			h := hashMarking(next)
+			head := chainHead(seen, h)
+			dup := false
+			for id := head; id >= 0 && !dup; id = chain[id] {
+				dup = at(id).Equal(next)
+			}
+			if dup {
+				marks = marks[:off]
 				continue
 			}
-			seen[key] = true
-			work = append(work, &node{m: next, parent: n})
+			id := int32(len(parent))
+			parent = append(parent, n)
+			chain = append(chain, head)
+			seen[h] = id
+			work = append(work, id)
 		}
 	}
 	for i, u := range isOmega {

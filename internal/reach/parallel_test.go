@@ -171,3 +171,33 @@ func BenchmarkBuildParallel(b *testing.B) {
 		})
 	}
 }
+
+// TestBuildTruncatedAtEveryCut truncates a small build at every
+// possible state count, so some cut lands between two successors of
+// one node, and checks each against the serial oracle: the level's
+// shared edge array must give the cut node exactly its committed edges.
+func TestBuildTruncatedAtEveryCut(t *testing.T) {
+	net := modelgen.ForkJoin(3, 2, 1)
+	full, err := BuildSerial(context.Background(), net, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for max := 1; max <= len(full.Nodes)+1; max++ {
+		want, err := BuildSerial(context.Background(), net, Options{MaxStates: max})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want.Truncated != (max < len(full.Nodes)) {
+			t.Fatalf("max=%d: serial truncated=%v for %d states", max, want.Truncated, len(full.Nodes))
+		}
+		for _, shards := range []int{1, 2, 8} {
+			got, err := Build(context.Background(), net, Options{MaxStates: max, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Run(fmt.Sprintf("max=%d/shards=%d", max, shards), func(t *testing.T) {
+				graphsIdentical(t, want, got)
+			})
+		}
+	}
+}

@@ -55,9 +55,6 @@ func (n *TimedNode) Ripe() bool {
 	return false
 }
 
-// key returns the state's dedup key: appendKey's packed form.
-func (n *TimedNode) key() string { return string(n.appendKey(nil)) }
-
 // appendKey appends the packed state key to dst: the marking (one
 // uvarint per place), the pending count, the pending (transition,
 // left) pairs, then the enabled pairs up to the end. Every node of one
@@ -135,9 +132,10 @@ func timedRoot(net *petri.Net) (*TimedNode, error) {
 // opt.Shards goroutines: successor states are expanded in parallel,
 // deduplicated in per-shard key maps, and committed sequentially in
 // the exact (node, successor) order the serial FIFO construction
-// visits them, so the graph is bit-identical to BuildTimedSerial for
-// any shard count — including after truncation, where both keep
-// draining the frontier to add edges between already-interned states.
+// visits them, so the graph is bit-identical to the serial FIFO
+// construction (the oracle in the package tests) for any shard count —
+// including after truncation, where both keep draining the frontier
+// to add edges between already-interned states.
 // ctx is checked at every level barrier.
 func BuildTimed(ctx context.Context, net *petri.Net, opt Options) (*TimedGraph, error) {
 	opt.defaults()
@@ -333,70 +331,6 @@ func eachWorker(n int, f func(w int)) {
 		}(w)
 	}
 	wg.Wait()
-}
-
-// BuildTimedSerial is the plain serial FIFO construction — the
-// algorithm BuildTimed had before the sharded search, kept as the
-// bit-identity oracle the parallel build is tested against. ctx is
-// checked every serialCheckEvery processed nodes.
-func BuildTimedSerial(ctx context.Context, net *petri.Net, opt Options) (*TimedGraph, error) {
-	opt.defaults()
-	if err := timedValidate(net); err != nil {
-		return nil, err
-	}
-	g := &TimedGraph{Net: net}
-	index := make(map[string]int)
-
-	intern := func(n *TimedNode) (int, bool) {
-		k := n.key()
-		if id, ok := index[k]; ok {
-			return id, false
-		}
-		if len(g.Nodes) >= opt.MaxStates {
-			g.Truncated = true
-			return -1, false
-		}
-		n = n.clone()
-		n.ID = len(g.Nodes)
-		index[k] = n.ID
-		g.Nodes = append(g.Nodes, n)
-		return n.ID, true
-	}
-
-	root, err := timedRoot(net)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := intern(root); !ok && len(g.Nodes) == 0 {
-		return nil, fmt.Errorf("reach: could not intern initial state")
-	}
-	var scratch TimedNode
-	processed := 0
-	for work := []int{0}; len(work) > 0; {
-		if processed%serialCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		processed++
-		id := work[0]
-		work = work[1:]
-		node := g.Nodes[id]
-		err := expandTimed(net, node, &scratch, func(s *TimedNode, label petri.TransID, delta petri.Time) {
-			nid, fresh := intern(s)
-			if nid < 0 {
-				return
-			}
-			node.Out = append(node.Out, TimedEdge{Trans: label, Delta: delta, To: nid})
-			if fresh {
-				work = append(work, nid)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return g, nil
 }
 
 // refreshEnab recomputes the enabled set of n, keeping the timers of
